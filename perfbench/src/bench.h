@@ -39,6 +39,13 @@ double peak_rss_mib();
 
 enum class Engine { kFleet, kServing, kTieredServing };
 
+// Settings every workload shares: the HACK backend's RNG seed (also used by
+// the FP32 reference check), the serving engine's active-sequence cap and
+// the modeled NIC line rate of the fleet's transfers.
+inline constexpr std::uint64_t kBackendSeed = 7;
+inline constexpr std::size_t kMaxActive = 8;
+inline constexpr double kNicGbps = 10.0;
+
 // Everything that defines one workload: model shape, KV config, engine and
 // the length make-up of its requests. Token contents come from the seed;
 // lengths and their order are fixed, so every seed costs the same work and
@@ -48,19 +55,16 @@ struct WorkloadSpec {
   Engine engine = Engine::kServing;
   TinyConfig model;
   HackAttentionConfig attn;
-  std::uint64_t backend_seed = 7;
   std::vector<std::size_t> prompt_lens;  // one entry per request, in order
   std::vector<std::size_t> output_lens;  // max_new_tokens, paired by index
   // Serving engine knobs.
-  std::size_t max_active = 8;
   std::size_t chunk_tokens = 128;  // prefill chunk (fleet: 0 = whole prompt)
   std::size_t pool_blocks = 0;     // tiered KV pool (0: no pool)
-  // Fleet knobs: worker counts, open-loop arrival interval on the fleet's
-  // own timeline, and the NIC line rate of the modeled transfer.
+  // Fleet knobs: worker counts and the open-loop arrival interval on the
+  // fleet's own timeline.
   std::size_t prefill_workers = 0;
   std::size_t decode_workers = 0;
   double arrival_interval_s = 0.0;
-  double nic_gbps = 10.0;
 };
 
 // The narrow long-context shape (8Q/2KV, d_head 128); also the shape of

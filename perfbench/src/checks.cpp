@@ -66,6 +66,22 @@ bool exact_lengths(const std::vector<ServingRequest>& requests,
   return true;
 }
 
+bool all_finished(std::size_t finished, std::size_t rejected,
+                  std::size_t requests) {
+  return rejected == 0 && finished == requests;
+}
+
+bool swap_out_closed_form(const WorkloadSpec& spec,
+                          const hack::ServingEngineStats& s) {
+  std::size_t expected = 0;
+  for (const hack::SwapEvent& ev : s.swap_events) {
+    if (ev.kind == hack::SwapEvent::Kind::kEvict) {
+      expected += wire_blob_bytes(spec, ev.tokens);
+    }
+  }
+  return s.tier.evictions > 0 && expected == s.tier.bytes_swapped_out;
+}
+
 bool tier_conserved(const hack::KvTierStats& t, std::size_t pool_free,
                     std::size_t pool_blocks) {
   return t.bytes_swapped_out == t.bytes_swapped_in &&
@@ -104,7 +120,7 @@ void check_episode_properties(const WorkloadSpec& spec,
                               CheckLog& log) {
   for (std::size_t e = 0; e < episodes.size(); ++e) {
     const Episode& ep = episodes[e];
-    log.expect(ep.rejected == 0 && ep.finished == requests.size(),
+    log.expect(all_finished(ep.finished, ep.rejected, requests.size()),
                describe("every request finished, none rejected or shed", e));
     log.expect(exact_lengths(requests, ep.tokens),
                describe("every request generated its max_new_tokens", e));
@@ -117,14 +133,7 @@ void check_episode_properties(const WorkloadSpec& spec,
       if (spec.engine == Engine::kTieredServing) {
         log.expect(tier_conserved(s.tier, ep.pool_free_after, ep.pool_blocks),
                    describe("tier ledger balanced and pool drained", e));
-        std::size_t expected = 0;
-        for (const hack::SwapEvent& ev : s.swap_events) {
-          if (ev.kind == hack::SwapEvent::Kind::kEvict) {
-            expected += wire_blob_bytes(spec, ev.tokens);
-          }
-        }
-        log.expect(s.tier.evictions > 0 &&
-                       expected == s.tier.bytes_swapped_out,
+        log.expect(swap_out_closed_form(spec, s),
                    describe("swap-out blobs match the closed-form size", e));
       }
     }
@@ -136,7 +145,7 @@ void check_episode_properties(const WorkloadSpec& spec,
         sizes = sizes && rec.d.wire_bytes == want &&
                 rec.d.sections.total() == want;
         line_rate = line_rate &&
-                    transfer_within_line_rate(rec.d.wire_bytes, spec.nic_gbps,
+                    transfer_within_line_rate(rec.d.wire_bytes, kNicGbps,
                                               rec.d.transfer_s);
       }
       log.expect(sizes, describe("wire blobs match the closed-form size", e));
@@ -331,7 +340,8 @@ double reference_logit_error(
   HackAttentionConfig attn;
   attn.pi = 64;
   attn.kv_bits = kv_bits;
-  hack::LayerBackendFactory factory = hack::make_hack_layer_backend(attn, 7);
+  hack::LayerBackendFactory factory =
+      hack::make_hack_layer_backend(attn, kBackendSeed);
   if (factory_wrap) factory = factory_wrap(std::move(factory));
   hack::TinyTransformer model(weights, std::move(factory));
   const std::vector<float> got = model.prefill(prompt);
@@ -408,6 +418,9 @@ int run_selftest() {
   expect(exact_lengths(reqs, toks), exact_lengths(reqs, short_toks),
          "exact output lengths");
 
+  expect(all_finished(2, 0, 2), all_finished(1, 1, 2),
+         "every request finished, none rejected");
+
   hack::KvTierStats t;
   t.evictions = t.rehydrations = 3;
   t.bytes_swapped_out = t.bytes_swapped_in = 1000;
@@ -416,10 +429,14 @@ int run_selftest() {
   leaked.bytes_swapped_in = 999;
   hack::KvTierStats lost = t;
   lost.rehydrations = 2;
+  hack::KvTierStats hot_held = t;
+  hot_held.hot_bytes_released = 2048;
   expect(tier_conserved(t, 10, 10), tier_conserved(leaked, 10, 10),
          "tier bytes out == bytes in");
   expect(tier_conserved(t, 10, 10), tier_conserved(lost, 10, 10),
          "tier evictions == rehydrations");
+  expect(tier_conserved(t, 10, 10), tier_conserved(hot_held, 10, 10),
+         "tier hot bytes admitted == released");
   expect(tier_conserved(t, 10, 10), tier_conserved(t, 9, 10),
          "tier pool drained");
 
@@ -444,6 +461,26 @@ int run_selftest() {
   expect(blob == wire_blob_bytes(spec, prompt.size()),
          blob + 1 == wire_blob_bytes(spec, prompt.size()),
          "wire blob closed-form size");
+
+  // Swap-out bytes against the evictions' closed-form sizes: a byte too
+  // many, and a run that never evicted.
+  hack::ServingEngineStats swapped;
+  for (const std::size_t tokens : {150, 320}) {
+    hack::SwapEvent ev;
+    ev.kind = hack::SwapEvent::Kind::kEvict;
+    ev.tokens = tokens;
+    swapped.swap_events.push_back(ev);
+    swapped.tier.bytes_swapped_out += wire_blob_bytes(spec, tokens);
+    ++swapped.tier.evictions;
+  }
+  hack::ServingEngineStats swapped_bad = swapped;
+  ++swapped_bad.tier.bytes_swapped_out;
+  expect(swap_out_closed_form(spec, swapped),
+         swap_out_closed_form(spec, swapped_bad),
+         "swap-out bytes closed-form size");
+  expect(swap_out_closed_form(spec, swapped),
+         swap_out_closed_form(spec, hack::ServingEngineStats{}),
+         "swap-out needs at least one eviction");
 
   const double line = 1e6 / (10.0 * 1e9 / 8.0);
   expect(transfer_within_line_rate(1000000, 10.0, line * 1.01),

@@ -31,6 +31,13 @@ bool tokens_equal(const std::vector<std::vector<int>>& a,
 // Every request generated exactly its max_new_tokens.
 bool exact_lengths(const std::vector<ServingRequest>& requests,
                    const std::vector<std::vector<int>>& tokens);
+// Every request finished; none was rejected or shed.
+bool all_finished(std::size_t finished, std::size_t rejected,
+                  std::size_t requests);
+// At least one eviction, and the swapped-out bytes equal the summed
+// closed-form blob sizes of the evicted sequences.
+bool swap_out_closed_form(const WorkloadSpec& spec,
+                          const hack::ServingEngineStats& s);
 // Swap ledger balanced and the pool drained.
 bool tier_conserved(const hack::KvTierStats& t, std::size_t pool_free,
                     std::size_t pool_blocks);

@@ -222,8 +222,9 @@ int main(int argc, char** argv) {
   // The program's shared pool gets two lanes, whatever the environment
   // says. With as many lanes as vCPUs, one busy neighbour delays every
   // pool barrier: on a 4-vCPU host a single competing process made
-  // longctx_tiered TTFT 44% and decode_batch TBT 32% worse at 4 lanes, and
-  // moved neither at 2 (README.md). Set before the pool's first use.
+  // longctx_tiered TTFT 54% and decode_batch TTFT 25% worse at 4 lanes,
+  // and moved no figure by more than 5% at 2 (README.md). Set before the
+  // pool's first use.
   setenv("HACK_NUM_THREADS", perfbench::kPoolLanes, 1);
   const perfbench::Args args = perfbench::parse(argc, argv);
   try {

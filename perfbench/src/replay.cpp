@@ -177,7 +177,7 @@ std::vector<int> replay_one(const WorkloadSpec& spec,
     blob = hack::serialize_session_kv(*session);
   }
   out.serialize_s.push_back(now_s() - t0);
-  hack::Nic src(spec.nic_gbps), dst(spec.nic_gbps);
+  hack::Nic src(kNicGbps), dst(kNicGbps);
   hack::TransferResult tr;
   {
     // The span times the model's own cost; the modeled wire time is

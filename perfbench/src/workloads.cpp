@@ -66,20 +66,20 @@ WorkloadSpec workload_spec(const std::string& name) {
     s.prefill_workers = 2;
     s.decode_workers = 1;
     s.arrival_interval_s = 2.0;
-    s.nic_gbps = 10.0;
   } else if (name == "decode_batch") {
     s.engine = Engine::kServing;
     s.model = bench_shape();
-    s.prompt_lens = {32, 16, 48, 24, 40, 20, 44, 28};
-    s.output_lens = {24, 16, 8, 32, 12, 28, 16, 20};
-    s.max_active = 8;
+    // Prompts of a few tokens keep prefill a small share of the episode:
+    // at the bench shape a prompt token costs about as much dense work as
+    // a decode row.
+    s.prompt_lens = {8, 4, 12, 6, 10, 5, 11, 7};
+    s.output_lens = {28, 16, 12, 36, 20, 32, 8, 24};
     s.chunk_tokens = 128;
   } else if (name == "longctx_tiered") {
     s.engine = Engine::kTieredServing;
     s.model = narrow_shape();
     s.prompt_lens = {1280, 1024, 1536, 1152};
     s.output_lens = {32, 48, 24, 40};
-    s.max_active = 8;
     s.chunk_tokens = 256;
   } else {
     throw std::invalid_argument(
@@ -130,12 +130,12 @@ std::vector<ServingRequest> warmup_requests(const WorkloadSpec& spec,
 }
 
 hack::LayerBackendFactory make_factory(const WorkloadSpec& spec) {
-  return hack::make_hack_layer_backend(spec.attn, spec.backend_seed);
+  return hack::make_hack_layer_backend(spec.attn, kBackendSeed);
 }
 
 hack::ServingEngineConfig serving_config(const WorkloadSpec& spec) {
   hack::ServingEngineConfig ec;
-  ec.scheduler.max_active = spec.max_active;
+  ec.scheduler.max_active = kMaxActive;
   ec.scheduler.prefill_chunk_tokens = spec.chunk_tokens;
   ec.scheduler.tiered = spec.engine == Engine::kTieredServing;
   return ec;
@@ -144,10 +144,10 @@ hack::ServingEngineConfig serving_config(const WorkloadSpec& spec) {
 hack::FleetConfig fleet_config(const WorkloadSpec& spec) {
   hack::FleetConfig fc;
   fc.worker.attn = spec.attn;
-  fc.worker.backend_seed = spec.backend_seed;
+  fc.worker.backend_seed = kBackendSeed;
   fc.worker.prefill_chunk_tokens = spec.chunk_tokens;
-  fc.worker.prefill_nic_gbps = spec.nic_gbps;
-  fc.worker.decode_nic_gbps = spec.nic_gbps;
+  fc.worker.prefill_nic_gbps = kNicGbps;
+  fc.worker.decode_nic_gbps = kNicGbps;
   fc.prefill_workers = spec.prefill_workers;
   fc.decode_workers = spec.decode_workers;
   fc.prefill_policy = &hack::dispatch_round_robin;
